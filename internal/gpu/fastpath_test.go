@@ -175,30 +175,3 @@ func TestIssueFastPathEquivalenceRFBanks(t *testing.T) {
 		t.Fatalf("fast path diverges with banked register file:\nfast: %+v\nslow: %+v", fast, slow)
 	}
 }
-
-// TestIssueFastPathEquivalenceParallel cross-checks the fast path against
-// the parallel intra-run engine (and, under -race, that the pre-decoded
-// instruction fields and per-SM fast-forward are race-free).
-func TestIssueFastPathEquivalenceParallel(t *testing.T) {
-	cfg := config.Small().WithPolicy(config.PolicyVT)
-	run := func(disable bool, par int) *Result {
-		res, err := Run(mixedLaunch(t, 16, 64), cfg, Options{
-			InitMemory:           initVec(16 * 64),
-			DisableIssueFastPath: disable,
-			Parallelism:          par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seqFast := run(false, 1)
-	parFast := run(false, 2)
-	parSlow := run(true, 2)
-	if !reflect.DeepEqual(seqFast, parFast) {
-		t.Fatalf("parallel engine diverges from sequential with fast path on")
-	}
-	if !reflect.DeepEqual(parFast, parSlow) {
-		t.Fatalf("fast path diverges under the parallel engine")
-	}
-}

@@ -164,9 +164,10 @@ func DefaultParams() Params {
 // sweep fabric, not from wider in-process fan-out.
 const maxSweepWorkers = 1024
 
-// resolveWorkers clamps a requested concurrent-simulation count to
-// [1, maxSweepWorkers]; n <= 0 selects GOMAXPROCS.
-func resolveWorkers(n int) int {
+// ResolveWorkers clamps a requested concurrent-simulation count to
+// [1, maxSweepWorkers]; n <= 0 selects GOMAXPROCS. The fabric worker
+// sizes its lease slots with the same rule.
+func ResolveWorkers(n int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -179,11 +180,7 @@ func resolveWorkers(n int) int {
 	return n
 }
 
-// ResolveWorkers is resolveWorkers for callers outside the package
-// (the fabric worker sizes its lease slots with the same rule).
-func ResolveWorkers(n int) int { return resolveWorkers(n) }
-
-func (p Params) workers() int { return resolveWorkers(p.Workers) }
+func (p Params) workers() int { return ResolveWorkers(p.Workers) }
 
 // scheduler resolves the batch scheduler (default: prefix forking).
 func (p Params) scheduler() Scheduler {

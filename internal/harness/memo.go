@@ -16,10 +16,9 @@ import (
 // deterministic results dozens of times. Runs are keyed by a content
 // fingerprint of the kernel name, the grid parameters (scale and
 // dilution, which fully determine the generated launch), and the
-// JSON-serialized hardware config. gpu.Options.Parallelism is *not* part
-// of the key: the parallel engine is bit-identical to the sequential one
-// (see internal/gpu/parallel_test.go), so the worker count cannot change
-// a Result.
+// JSON-serialized hardware config. How many simulations the harness runs
+// side by side (Params.Workers) is not part of the key: each run is
+// sequential and deterministic, so concurrency cannot change a Result.
 //
 // Cached *gpu.Result values are shared between experiments and must be
 // treated as immutable by all callers.
@@ -49,7 +48,7 @@ type RunMetrics struct {
 	Deadlines      int
 	// Retries counts safe-mode retries attempted after a panic or
 	// invariant trip; Degraded counts runs whose result came from such a
-	// retry (fast path and parallel engine disabled).
+	// retry (issue fast path disabled).
 	Retries  int
 	Degraded int
 	// Failures counts runs that still failed after the retry ladder and
@@ -323,15 +322,4 @@ func memoRun(p Params, j Job) (*gpu.Result, error) {
 		// is missing, or vice versa.
 	})
 	return e.res, e.err
-}
-
-// runParallelism picks the intra-run worker count for one simulation.
-// When the harness batches many simulations concurrently, those already
-// saturate the cores, so each run stays sequential; a single-worker
-// harness hands the cores to the parallel engine instead.
-func (p Params) runParallelism() int {
-	if p.workers() > 1 {
-		return 1
-	}
-	return 0 // auto: one worker per core, capped at the SM count
 }

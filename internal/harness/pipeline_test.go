@@ -26,9 +26,6 @@ func TestResolveWorkersBounds(t *testing.T) {
 		{1 << 20, maxSweepWorkers},
 	}
 	for _, tc := range cases {
-		if got := resolveWorkers(tc.in); got != tc.want {
-			t.Errorf("resolveWorkers(%d) = %d, want %d", tc.in, got, tc.want)
-		}
 		if got := ResolveWorkers(tc.in); got != tc.want {
 			t.Errorf("ResolveWorkers(%d) = %d, want %d", tc.in, got, tc.want)
 		}

@@ -20,15 +20,14 @@ import (
 
 // The run supervisor wraps every simulation the harness executes:
 //
-//   - a panic anywhere in the engine (worker panics are re-raised on the
-//     coordinator goroutine) is recovered with its stack instead of
-//     killing the whole sweep;
+//   - a panic anywhere in the engine is recovered with its stack instead
+//     of killing the whole sweep;
 //   - Params.RunTimeout bounds each run's wall-clock time through
 //     gpu.Options.Ctx;
 //   - a run that panicked or tripped an invariant is retried once in safe
-//     mode (DisableIssueFastPath, Parallelism=1) — those two failure
-//     classes are the ones a fast-path or parallel-engine bug can cause,
-//     and the safe engine path cannot hit them. The downgrade is counted
+//     mode, which is just DisableIssueFastPath — those two failure
+//     classes are the ones an issue fast-path bug can cause, and the
+//     full-scan reference path cannot hit them. The downgrade is counted
 //     in RunMetrics and surfaced in the final report;
 //   - a run that still fails becomes a RunFailure: a structured repro
 //     bundle (fingerprint, config JSON, stack, AbortDiagnostic) written
@@ -142,7 +141,6 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 	}
 	opts := gpu.Options{
 		InitMemory:      w.Init,
-		Parallelism:     p.runParallelism(),
 		CheckInvariants: p.CheckInvariants,
 	}
 	// Fault-injected runs force the invariant checker, which sampling's
@@ -155,7 +153,6 @@ func runAttempt(p Params, j Job, cfg config.GPUConfig, safeMode bool, spec *fork
 	}
 	if safeMode {
 		opts.DisableIssueFastPath = true
-		opts.Parallelism = 1
 	}
 	if injected {
 		n := 0
@@ -308,9 +305,9 @@ func supervisedExecuteFork(p Params, j Job, cfg config.GPUConfig, fp string, spe
 		second = runAttempt(p, j, cfg, true, spec)
 		attempts = 2
 		if second.err == nil {
-			// The safe path succeeded where the fast path / parallel
-			// engine failed: record the downgrade and keep the sweep
-			// moving with the safe result.
+			// The safe path succeeded where the fast path failed:
+			// record the downgrade and keep the sweep moving with the
+			// safe result.
 			bumpMetric(func(m *RunMetrics) { m.Degraded++ })
 			if spec != nil {
 				spec.captured = second.ck

@@ -577,7 +577,7 @@ func (sc *scheduler) issue(w *warp.Warp) {
 	in := &code[pc]
 
 	sc.rfBankStall(w, in)
-	info := warp.Execute(w, in, s.Gmem, s.addrBuf, s.Glog)
+	info := warp.Execute(w, in, s.Gmem, s.addrBuf)
 	w.LastIssue = now
 	w.IssuedInstrs++
 	w.ThreadInstrs += int64(info.Lanes)

@@ -172,9 +172,8 @@ type openCTA struct {
 	track int
 }
 
-// smRec is one SM's recorder. Under the parallel engine a given SM is
-// driven by exactly one goroutine at a time, so per-SM state needs no
-// locking (see the sm.Probe contract).
+// smRec is one SM's recorder. Every hook fires on the goroutine driving
+// the run, so per-SM state needs no locking (see the sm.Probe contract).
 type smRec struct {
 	ring   []Window
 	last   sm.Stats  // cumulative snapshot at the previous boundary

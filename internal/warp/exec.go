@@ -27,12 +27,7 @@ type ExecInfo struct {
 // must have capacity for one address per lane and is reused in the
 // returned ExecInfo. The caller is responsible for scoreboard and barrier
 // bookkeeping.
-//
-// When log is non-nil, global-memory lane loops are recorded into it
-// instead of touching gmem; the caller replays them with Flush in SM-index
-// order, which is how the parallel engine keeps shared-memory traffic
-// bit-identical to sequential execution (see GmemLog).
-func Execute(w *Warp, in *isa.Instr, gmem *mem.Backing, addrBuf []uint32, log *GmemLog) ExecInfo {
+func Execute(w *Warp, in *isa.Instr, gmem *mem.Backing, addrBuf []uint32) ExecInfo {
 	_, active, ok := w.Stack.Current()
 	if !ok {
 		return ExecInfo{}
@@ -75,7 +70,6 @@ func Execute(w *Warp, in *isa.Instr, gmem *mem.Backing, addrBuf []uint32, log *G
 		}
 		switch in.Op {
 		case isa.OpLdShared, isa.OpStShared:
-			// Shared memory is CTA-private: always safe to run inline.
 			for m := active; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros64(uint64(m))
 				if in.Op == isa.OpLdShared {
@@ -85,10 +79,19 @@ func Execute(w *Warp, in *isa.Instr, gmem *mem.Backing, addrBuf []uint32, log *G
 				}
 			}
 		default: // global load/store/atomic
-			if log != nil {
-				log.add(w, in, active)
-			} else {
-				execGlobalLanes(w, in, gmem, active)
+			for m := active; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros64(uint64(m))
+				addr := info.Addrs[lane]
+				switch in.Op {
+				case isa.OpLdGlobal:
+					w.SetReg(in.Dst, lane, gmem.LoadWord(addr))
+				case isa.OpStGlobal:
+					gmem.StoreWord(addr, w.Reg(in.SrcC, lane))
+				case isa.OpAtomAdd:
+					old := gmem.LoadWord(addr)
+					gmem.StoreWord(addr, old+w.Reg(in.SrcC, lane))
+					w.SetReg(in.Dst, lane, old)
+				}
 			}
 		}
 		w.Stack.Advance()
@@ -224,64 +227,6 @@ func execALULanes(w *Warp, in *isa.Instr, active simt.Mask) {
 			w.SetReg(dst, lane, evalALU(w, in, lane))
 		}
 	}
-}
-
-// execGlobalLanes performs the per-lane functional work of a global
-// load/store/atomic: the same loop whether run inline (sequential engine)
-// or replayed from a GmemLog (parallel engine). Addresses are recomputed
-// from SrcA, which is exact: a warp issues at most one instruction per
-// cycle, so none of its registers can change between issue and replay.
-func execGlobalLanes(w *Warp, in *isa.Instr, gmem *mem.Backing, active simt.Mask) {
-	for m := active; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros64(uint64(m))
-		addr := w.Reg(in.SrcA, lane) + in.Imm
-		switch in.Op {
-		case isa.OpLdGlobal:
-			w.SetReg(in.Dst, lane, gmem.LoadWord(addr))
-		case isa.OpStGlobal:
-			gmem.StoreWord(addr, w.Reg(in.SrcC, lane))
-		case isa.OpAtomAdd:
-			old := gmem.LoadWord(addr)
-			gmem.StoreWord(addr, old+w.Reg(in.SrcC, lane))
-			w.SetReg(in.Dst, lane, old)
-		}
-	}
-}
-
-// gmemOp is one deferred global-memory lane loop.
-type gmemOp struct {
-	w      *Warp
-	in     *isa.Instr
-	active simt.Mask
-}
-
-// GmemLog collects the global-memory lane loops an SM's issues produce
-// during one parallel step so the shared Backing is never touched
-// concurrently. The engine flushes the logs in ascending SM-index order
-// after the cycle barrier; within a log, ops replay in issue order, so the
-// interleaving of loads, stores, and atomics across the whole GPU is
-// exactly the one the sequential engine produces.
-type GmemLog struct {
-	ops []gmemOp
-}
-
-// Add is not exported: Execute records into the log when one is supplied.
-func (l *GmemLog) add(w *Warp, in *isa.Instr, active simt.Mask) {
-	l.ops = append(l.ops, gmemOp{w: w, in: in, active: active})
-}
-
-// Len returns the number of deferred ops (for tests).
-func (l *GmemLog) Len() int { return len(l.ops) }
-
-// Flush replays the deferred lane loops against gmem in issue order and
-// empties the log.
-func (l *GmemLog) Flush(gmem *mem.Backing) {
-	for i := range l.ops {
-		op := &l.ops[i]
-		execGlobalLanes(op.w, op.in, gmem, op.active)
-		op.w, op.in = nil, nil
-	}
-	l.ops = l.ops[:0]
 }
 
 // loadShared reads a word from the CTA's shared memory; out-of-bounds

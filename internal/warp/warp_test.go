@@ -30,7 +30,7 @@ func runWarp(t *testing.T, w *Warp, code []isa.Instr, gmem *mem.Backing) {
 		if !ok {
 			break
 		}
-		Execute(w, &code[pc], gmem, buf, nil)
+		Execute(w, &code[pc], gmem, buf)
 	}
 }
 
@@ -285,7 +285,7 @@ func TestExecuteBarrierFlag(t *testing.T) {
 	c := NewCTA(l, 0, 32)
 	w := c.Warps[0]
 	buf := make([]uint32, 32)
-	info := Execute(w, &k.Code[0], mem.NewBacking(), buf, nil)
+	info := Execute(w, &k.Code[0], mem.NewBacking(), buf)
 	if !info.IsBar {
 		t.Fatal("barrier must be flagged")
 	}
