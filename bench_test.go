@@ -7,8 +7,8 @@ package vtsim
 //	go test -bench=BenchmarkFigSpeedup -benchtime=1x -v
 //
 // Set VTSIM_DILUTE=N to shrink grids N-fold for quick passes. Component
-// micro-benchmarks (SIMT stack, cache, scheduler, whole-SM) follow the
-// experiment benchmarks.
+// micro-benchmarks (SIMT stack, cache, event queue, warp execute, VT
+// controller, whole-GPU runs) follow the experiment benchmarks.
 
 import (
 	"io"
@@ -17,11 +17,15 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/gpu"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/simt"
+	"repro/internal/sm"
+	"repro/internal/warp"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -132,6 +136,125 @@ func BenchmarkEventQueue(b *testing.B) {
 	q.AdvanceTo(int64(b.N + 10))
 	if n != b.N {
 		b.Fatalf("ran %d of %d events", n, b.N)
+	}
+}
+
+// aluBenchKernel is straight-line SP-pipeline code in the mix the paper's
+// kernels issue between memory operations: index arithmetic, predicates,
+// selects and float math. The trailing exit is never executed.
+func aluBenchKernel() *isa.Kernel {
+	b := isa.NewBuilder("alu_bench")
+	b.S2R(0, isa.SrTidX)
+	b.S2R(1, isa.SrCTAIdX)
+	b.S2R(2, isa.SrNTidX)
+	b.IMad(3, 1, 2, 0)
+	b.ShlImm(4, 3, 2)
+	b.LdParam(5, 0)
+	b.IAdd(5, 5, 4)
+	b.IAddImm(6, 3, 1)
+	b.AndImm(7, 6, 0xFF)
+	b.SetpImm(8, isa.CmpILT, 7, 100)
+	b.Selp(9, 6, 7, 8)
+	b.IMin(10, 9, 3)
+	b.FMul(11, 9, 10)
+	b.FFma(12, 11, 9, 10)
+	b.MovImm(13, 0x3F80_0000)
+	b.FAdd(14, 12, 13)
+	b.Exit()
+	return b.MustBuild()
+}
+
+// BenchmarkWarpExecuteALU measures warp.Execute on ALU instructions; one op
+// is one warp instruction. "full" runs all 32 lanes, where the lane loops
+// write the destination row directly; "divergent" runs the odd lanes,
+// where they compute into a scratch row and commit the active lanes.
+func BenchmarkWarpExecuteALU(b *testing.B) {
+	k := aluBenchKernel()
+	l := &isa.Launch{Kernel: k, GridDim: isa.Dim1(1), BlockDim: isa.Dim1(32), Params: []uint32{0x1000}}
+	end := int32(len(k.Code) - 1)
+	for _, bc := range []struct {
+		name string
+		mask simt.Mask
+	}{{"full", simt.FullMask(32)}, {"divergent", 0xAAAA_AAAA}} {
+		b.Run(bc.name, func(b *testing.B) {
+			w := warp.NewCTA(l, 0, 32).Warps[0]
+			start := []simt.Entry{{PC: 0, Reconv: -1, Mask: bc.mask}}
+			w.Stack.SetState(start, 0)
+			addrs := make([]uint32, 32)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pc, _, _ := w.Stack.Current()
+				if pc == end {
+					w.Stack.SetState(start, 0)
+					pc = 0
+				}
+				warp.Execute(w, &k.Code[pc], nil, addrs)
+			}
+		})
+	}
+}
+
+// BenchmarkVTControllerCycle measures one VT controller step (admit,
+// activate, swap-out check) on a loaded SM: pathfinder under PolicyVT on
+// the GTX480 is paused, through the fault hook, at the first cycle where
+// SM 0 holds ready CTAs but no free warp slot, has a free context-buffer
+// port, and a trial step changes nothing. That no-op decision is the one
+// the controller makes on most cycles. "scan" is the same step with the
+// issue fast path disabled, which re-derives every answer by scanning.
+func BenchmarkVTControllerCycle(b *testing.B) {
+	cfg := config.GTX480().WithPolicy(config.PolicyVT)
+	w, err := kernels.Build("pathfinder", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name    string
+		disable bool
+	}{{"fastpath", false}, {"scan", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			measured := false
+			hook := func(cycle int64, sms []*sm.SM) {
+				s := sms[0]
+				ctl := s.Ctl.(*core.Controller)
+				if measured || cycle < 1000 || s.Asleep() || s.CanActivateFor(1, 1) ||
+					ctl.SwapsInFlight(s.ID, s.Ev.Now()) > 0 {
+					return
+				}
+				ready := 0
+				for _, c := range s.Resident {
+					if c.State == warp.CTAPending || c.State == warp.CTAInactiveReady {
+						ready++
+					}
+				}
+				if ready == 0 {
+					return
+				}
+				before, resident := ctl.Stats, len(s.Resident)
+				ctl.Cycle(s)
+				after := ctl.Stats
+				if after.SwapsOut != before.SwapsOut || after.SwapsIn != before.SwapsIn ||
+					after.FreshActivates != before.FreshActivates || len(s.Resident) != resident {
+					return // the trial step acted; try a later cycle
+				}
+				measured = true
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ctl.Cycle(s)
+				}
+				b.StopTimer()
+			}
+			if _, err := gpu.Run(w.Launch, cfg, gpu.Options{
+				InitMemory:           w.Init,
+				DisableIssueFastPath: bc.disable,
+				FaultHook:            hook,
+			}); err != nil {
+				b.Fatal(err)
+			}
+			if !measured {
+				b.Fatal("no cycle matched the loaded-SM condition")
+			}
+		})
 	}
 }
 

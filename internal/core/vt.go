@@ -108,7 +108,7 @@ func (v *Controller) HandleEvent(kind uint8, a, b uint32) {
 		st.restores[b] = nil
 		st.restoreFree = append(st.restoreFree, int32(b))
 		s.WakeUp()
-		c.State = warp.CTAActive
+		s.SetCTAState(c, warp.CTAActive)
 		c.ActivatedAt = s.Ev.Now()
 		s.NoteCTAStateChanged(c)
 		v.trace(s, c, warp.CTARestoring, warp.CTAActive, 0)
@@ -243,11 +243,16 @@ func estCtxBytes(warps int) int {
 
 // activate fills free scheduling slots with ready CTAs under the
 // configured activation policy. Fresh (never-run) CTAs need no context
-// restore; reactivations need a free context-buffer port.
+// restore; reactivations need a free context-buffer port. When not even
+// a one-warp, one-thread CTA could take slots, no ready CTA can, so the
+// fast path returns before looking for one.
 func (v *Controller) activate(s *sm.SM) {
 	st := &v.perSM[s.ID]
 	if st.ports == nil {
 		st.ports = make([]int64, s.Cfg.VT.EffSwapPorts())
+	}
+	if !s.DisableFastPath && !s.CanActivateFor(1, 1) {
+		return
 	}
 	now := s.Ev.Now()
 	for {
@@ -280,7 +285,7 @@ func (v *Controller) activateCTA(s *sm.SM, c *warp.CTA, st *smState) {
 		// restore completes. Activate classified the warps as active, so
 		// re-derive their cached state after flipping to restoring.
 		s.Activate(c)
-		c.State = warp.CTARestoring
+		s.SetCTAState(c, warp.CTARestoring)
 		s.NoteCTAStateChanged(c)
 		v.trace(s, c, from, warp.CTARestoring, lat)
 		s.Ev.PostAfter(lat, v, evRestoreDone, uint32(s.ID), uint32(st.allocRestore(c)))
@@ -292,9 +297,33 @@ func (v *Controller) activateCTA(s *sm.SM, c *warp.CTA, st *smState) {
 	v.trace(s, c, from, warp.CTAActive, 0)
 }
 
+// anyReady reports whether some resident CTA is ready to activate: the
+// SM's ReadyCTAs count on the fast path, a pickReady scan with the issue
+// fast path disabled.
+func (v *Controller) anyReady(s *sm.SM) bool {
+	if !s.DisableFastPath {
+		return s.ReadyCTAs > 0
+	}
+	return v.pickReady(s) != nil
+}
+
+// swapCandidates returns the CTAs the swap-out phase examines, in
+// resident order: the SM's cached active list on the fast path, every
+// resident CTA (callers skip the inactive ones) with it disabled.
+func (v *Controller) swapCandidates(s *sm.SM) []*warp.CTA {
+	if !s.DisableFastPath {
+		return s.ActiveInOrder()
+	}
+	return s.Resident
+}
+
 // pickReady returns the ready CTA preferred by the activation policy, or
-// nil when none is ready.
+// nil when none is ready. The scan runs only when the SM's ReadyCTAs
+// count says a ready CTA exists (always, with the fast path disabled).
 func (v *Controller) pickReady(s *sm.SM) *warp.CTA {
+	if !s.DisableFastPath && s.ReadyCTAs == 0 {
+		return nil
+	}
 	newest := s.Cfg.VT.Activation == config.ActNewest
 	var best *warp.CTA
 	better := func(c, b *warp.CTA) bool {
@@ -334,11 +363,11 @@ func (v *Controller) swapOut(s *sm.SM) {
 	if st.freePort(now) < 0 {
 		return
 	}
-	if v.pickReady(s) == nil {
+	if !v.anyReady(s) {
 		return // nothing to run instead; keep waiting in place
 	}
 	minElig := int64(-1)
-	for _, c := range s.Resident {
+	for _, c := range v.swapCandidates(s) {
 		if c.State != warp.CTAActive {
 			continue
 		}
@@ -443,7 +472,7 @@ func (v *Controller) CanSleep(s *sm.SM) bool {
 		return false
 	}
 	if portFree {
-		for _, a := range s.Resident {
+		for _, a := range v.swapCandidates(s) {
 			if a.State != warp.CTAActive {
 				continue
 			}
@@ -470,13 +499,24 @@ func (v *Controller) countInactive(s *sm.SM) {
 	}
 }
 
-// stalledEnough reports whether the CTA's unfinished warps are blocked on
-// outstanding global loads (or barrier-parked) beyond the trigger
-// fraction, with at least one memory-blocked warp. At the paper-default
-// fraction of 1.0, any issuable or short-latency-blocked warp vetoes the
-// swap.
+// stalledEnough reports whether the active CTA's unfinished warps are
+// blocked on outstanding global loads (or barrier-parked) beyond the
+// trigger fraction, with at least one memory-blocked warp. At the
+// paper-default fraction of 1.0, any issuable or short-latency-blocked
+// warp vetoes the swap. The fast path reads the CTA's cached class
+// counts (an active CTA's warps are classified by BlockedState, kept
+// current by the SM); with it disabled, every warp is re-derived.
 func (v *Controller) stalledEnough(s *sm.SM, c *warp.CTA, code []isa.Instr) bool {
 	frac := s.Cfg.VT.EffTriggerFraction()
+	if !s.DisableFastPath {
+		k := &c.Classes
+		blocked := k[warp.BlockedMem] + k[warp.BlockedBarrier]
+		other := k[warp.BlockedNot] + k[warp.BlockedALU]
+		if k[warp.BlockedMem] == 0 || frac >= 1 && other > 0 {
+			return false
+		}
+		return float64(blocked) >= frac*float64(blocked+other)
+	}
 	anyMem := false
 	unfinished, blocked := 0, 0
 	for _, w := range c.Warps {

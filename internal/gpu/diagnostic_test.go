@@ -10,6 +10,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/sm"
+	"repro/internal/warp"
 )
 
 // barrierDeadlockLaunch builds a 2-warp CTA that genuinely deadlocks
@@ -158,22 +159,33 @@ func TestDeadlineDiagnostic(t *testing.T) {
 func TestCheckInvariantsClean(t *testing.T) {
 	cfg := config.Small()
 	cfg.Policy = config.PolicyVT // exercise swap bookkeeping too
-	n := 16 * 64
-	launch := func() *isa.Launch { return vecAddLaunch(t, 16, 64) }
-	plain, err := Run(launch(), cfg, Options{InitMemory: initVec(n)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := Run(launch(), cfg, Options{
-		InitMemory:        initVec(n),
-		CheckInvariants:   true,
-		InvariantInterval: 64, // check often to catch transient breakage
-	})
-	if err != nil {
-		t.Fatalf("invariant checker tripped on a healthy run: %v", err)
-	}
-	if !reflect.DeepEqual(plain, checked) {
-		t.Fatal("CheckInvariants perturbed the simulation result")
+	const ctas, block = 16, 64
+	// mixed adds barriers, shared memory and SFU ops, so the per-CTA
+	// class counts see every warp class.
+	for _, tc := range []struct {
+		name   string
+		launch func() *isa.Launch
+	}{
+		{"vecadd", func() *isa.Launch { return vecAddLaunch(t, ctas, block) }},
+		{"mixed", func() *isa.Launch { return mixedLaunch(t, ctas, block) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, err := Run(tc.launch(), cfg, Options{InitMemory: initVec(ctas * block)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked, err := Run(tc.launch(), cfg, Options{
+				InitMemory:        initVec(ctas * block),
+				CheckInvariants:   true,
+				InvariantInterval: 64, // check often to catch transient breakage
+			})
+			if err != nil {
+				t.Fatalf("invariant checker tripped on a healthy run: %v", err)
+			}
+			if !reflect.DeepEqual(plain, checked) {
+				t.Fatal("CheckInvariants perturbed the simulation result")
+			}
+		})
 	}
 }
 
@@ -210,6 +222,50 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	}
 	if !strings.Contains(d.Violation, "SM0") {
 		t.Fatalf("violation report does not name the SM: %q", d.Violation)
+	}
+}
+
+// TestCheckInvariantsCatchesControllerCorruption corrupts the counters the
+// VT controller reads instead of scanning — the SM's ready-CTA count and
+// a resident CTA's per-class warp counts — and expects the invariant
+// checker's recount to name each one.
+func TestCheckInvariantsCatchesControllerCorruption(t *testing.T) {
+	const at = 100
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *sm.SM)
+		want    string
+	}{
+		{"ready-ctas", func(s *sm.SM) { s.ReadyCTAs += 3 }, "ReadyCTAs"},
+		{"cta-classes", func(s *sm.SM) { s.Resident[0].Classes[warp.BlockedMem]++ }, "class counts"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fired := false
+			l := &isa.Launch{
+				Kernel:   memLoopKernel(t, 8),
+				GridDim:  isa.Dim1(24),
+				BlockDim: isa.Dim1(64),
+				Params:   []uint32{aBase},
+			}
+			_, err := Run(l, config.Small().WithPolicy(config.PolicyVT), Options{
+				CheckInvariants:   true,
+				InvariantInterval: 64,
+				FaultHook: func(cycle int64, sms []*sm.SM) {
+					if fired || cycle < at || len(sms[0].Resident) == 0 {
+						return
+					}
+					fired = true
+					tc.corrupt(sms[0])
+				},
+			})
+			d := DiagnosticOf(err)
+			if d == nil || d.Reason != ReasonInvariant {
+				t.Fatalf("err = %v, want an invariant abort", err)
+			}
+			if !strings.Contains(d.Violation, tc.want) || !strings.Contains(d.Violation, "SM0") {
+				t.Fatalf("violation report does not name SM0's corrupted %s: %q", tc.want, d.Violation)
+			}
+		})
 	}
 }
 

@@ -126,11 +126,26 @@ func memLoopKernel(t testing.TB, iters int) *isa.Kernel {
 
 // TestIssueFastPathEquivalenceSwaps drives the VT policies through real
 // swap-out/swap-in traffic (restore latency, restoreReady tracking,
-// context-port wakeups) and requires identical Results fast on/off.
+// context-port wakeups) and requires identical Results fast on/off. The
+// act-newest row checks the LIFO pick and the trig-0.50 row the
+// partial-stall (TriggerFraction < 1) count path of the controller's
+// cached bookkeeping against its scan reference.
 func TestIssueFastPathEquivalenceSwaps(t *testing.T) {
-	for _, p := range []config.Policy{config.PolicyVT, config.PolicyFullSwap} {
-		t.Run(p.String(), func(t *testing.T) {
-			cfg := config.Small().WithPolicy(p)
+	for _, tc := range []struct {
+		name  string
+		p     config.Policy
+		tweak func(*config.GPUConfig)
+	}{
+		{config.PolicyVT.String(), config.PolicyVT, nil},
+		{config.PolicyFullSwap.String(), config.PolicyFullSwap, nil},
+		{"vt-act-newest", config.PolicyVT, func(c *config.GPUConfig) { c.VT.Activation = config.ActNewest }},
+		{"vt-trig-0.50", config.PolicyVT, func(c *config.GPUConfig) { c.VT.TriggerFraction = 0.5 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config.Small().WithPolicy(tc.p)
+			if tc.tweak != nil {
+				tc.tweak(&cfg)
+			}
 			l := &isa.Launch{
 				Kernel:   memLoopKernel(t, 8),
 				GridDim:  isa.Dim1(24),
@@ -146,7 +161,7 @@ func TestIssueFastPathEquivalenceSwaps(t *testing.T) {
 			}
 			fast, slow := run(false), run(true)
 			if fast.VT.SwapsOut == 0 {
-				t.Fatalf("%s: workload produced no swaps; equivalence check is vacuous", p)
+				t.Fatalf("%s: workload produced no swaps; equivalence check is vacuous", tc.name)
 			}
 			if !reflect.DeepEqual(fast, slow) {
 				t.Fatalf("fast path diverges on swap-heavy run:\nfast: %+v\nslow: %+v", fast, slow)

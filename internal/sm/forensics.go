@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/warp"
 )
@@ -49,10 +50,10 @@ type Diag struct {
 	ReadyMask []uint64 `json:"ready_mask"`
 
 	// In-flight memory operations.
-	LSUOps           int `json:"lsu_ops"`            // warp memory instructions queued
-	LSULinesPending  int `json:"lsu_lines_pending"`  // coalesced lines not yet injected
-	OutstandingLoads int `json:"outstanding_loads"`  // global loads awaiting responses
-	WheelPending     int `json:"wheel_pending"`      // local writebacks not yet retired
+	LSUOps           int `json:"lsu_ops"`           // warp memory instructions queued
+	LSULinesPending  int `json:"lsu_lines_pending"` // coalesced lines not yet injected
+	OutstandingLoads int `json:"outstanding_loads"` // global loads awaiting responses
+	WheelPending     int `json:"wheel_pending"`     // local writebacks not yet retired
 
 	// CTAStates counts resident CTAs by state name.
 	CTAStates map[string]int `json:"cta_states,omitempty"`
@@ -116,11 +117,18 @@ func (s *SM) Diagnose() Diag {
 //     simulated cycle, including fast-forwarded spans);
 //   - capacity and scheduling bounds: used resources within the SM's
 //     limits and non-negative;
-//   - residency accounting: RegsUsed/SMemUsed (and WarpsUsed/ThreadsUsed/
-//     ActiveCTAs for active CTAs) match a recount over Resident;
+//   - residency accounting: RegsUsed/SMemUsed, the resident-warp count
+//     (and WarpsUsed/ThreadsUsed/ActiveCTAs for active CTAs) match a
+//     recount over Resident;
 //   - ready-bitset consistency: the bitset's population matches the
 //     schedulers' cached ready counters and every set bit names a bound,
 //     ready warp;
+//   - controller bookkeeping: ReadyCTAs matches a recount of pending and
+//     inactive-ready resident CTAs, every resident CTA's Classes matches
+//     a recount of its warps' cached classes, every warp of an active
+//     CTA caches the class BlockedState derives for it, and the cached
+//     active-CTA list (unless marked stale) holds exactly the active
+//     resident CTAs in resident order;
 //   - writeback-wheel occupancy: the pending counter matches a recount of
 //     the ring's entries.
 //
@@ -156,10 +164,11 @@ func (s *SM) CheckInvariants() error {
 		fail("ActiveCTAs %d outside [0, %d]", s.ActiveCTAs, s.MaxCTAs)
 	}
 
-	regs, smem, warps, threads, active := 0, 0, 0, 0, 0
+	regs, smem, warps, threads, active, resWarps := 0, 0, 0, 0, 0, 0
 	for _, c := range s.Resident {
 		regs += c.RegsAlloc
 		smem += c.SMemAlloc
+		resWarps += len(c.Warps)
 		if c.State == warp.CTAActive || c.State == warp.CTARestoring {
 			warps += len(c.Warps)
 			threads += c.Threads
@@ -180,6 +189,48 @@ func (s *SM) CheckInvariants() error {
 	}
 	if active != s.ActiveCTAs {
 		fail("ActiveCTAs %d but %d resident CTAs are active", s.ActiveCTAs, active)
+	}
+	if resWarps != s.residentWarps {
+		fail("resident-warp count %d but resident CTAs hold %d warps", s.residentWarps, resWarps)
+	}
+
+	ready := 0
+	for _, c := range s.Resident {
+		if readyState(c.State) {
+			ready++
+		}
+		var classes [warp.BlockedDone]int
+		for _, w := range c.Warps {
+			if w.IssueState != warp.BlockedDone {
+				classes[w.IssueState]++
+			}
+			if c.State != warp.CTAActive || w.Slot < 0 {
+				continue
+			}
+			if got := w.BlockedState(c.Launch.Kernel.Code, s.srcBuf); got != w.IssueState {
+				fail("CTA %d warp %d caches class %v but BlockedState is %v",
+					c.FlatID, w.IdxInCTA, w.IssueState, got)
+			}
+		}
+		if classes != c.Classes {
+			fail("CTA %d class counts %v but its warps' cached classes count %v",
+				c.FlatID, c.Classes, classes)
+		}
+	}
+	if ready != s.ReadyCTAs {
+		fail("ReadyCTAs %d but %d resident CTAs are ready", s.ReadyCTAs, ready)
+	}
+	if !s.activeStale {
+		var want []*warp.CTA
+		for _, c := range s.Resident {
+			if c.State == warp.CTAActive {
+				want = append(want, c)
+			}
+		}
+		if !slices.Equal(want, s.active) {
+			fail("cached active-CTA list (%d CTAs) differs from the %d active resident CTAs in resident order",
+				len(s.active), len(want))
+		}
 	}
 
 	pop := 0

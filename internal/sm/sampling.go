@@ -193,13 +193,7 @@ func (s *SM) FunctionalAdmitNow() {
 }
 
 // ResidentWarps counts the warps of every resident CTA (any state).
-func (s *SM) ResidentWarps() int {
-	n := 0
-	for _, c := range s.Resident {
-		n += len(c.Warps)
-	}
-	return n
-}
+func (s *SM) ResidentWarps() int { return s.residentWarps }
 
 // funcRetireCTA retires a CTA that completed during a functional span.
 // Active CTAs take the ordinary retire path; a CTA that finishes while
@@ -214,17 +208,7 @@ func (s *SM) funcRetireCTA(c *warp.CTA, fa FunctionalAdmitter) {
 	if fa != nil {
 		fa.FunctionalCTARetired(s, c)
 	}
-	c.State = warp.CTADone
-	s.RegsUsed -= c.RegsAlloc
-	s.SMemUsed -= c.SMemAlloc
-	for i, r := range s.Resident {
-		if r == c {
-			s.Resident = append(s.Resident[:i], s.Resident[i+1:]...)
-			break
-		}
-	}
-	s.Stats.CTAsCompleted++
-	s.Ctl.CTARetired(s, c)
+	s.release(c)
 }
 
 // functionalMem charges a functionally retired memory instruction's
@@ -289,9 +273,5 @@ func (s *SM) AccountSampled(n, issued int64) {
 	st.ActiveWarpAccum += n * int64(s.WarpsUsed)
 	st.ActiveCTAAccum += n * int64(s.ActiveCTAs)
 	st.ResidentCTAAccum += n * int64(len(s.Resident))
-	rw := 0
-	for _, c := range s.Resident {
-		rw += len(c.Warps)
-	}
-	st.ResidentWarpAccum += n * int64(rw)
+	st.ResidentWarpAccum += n * int64(s.residentWarps)
 }

@@ -386,11 +386,7 @@ func (s *SM) accountSkippedInto(st *Stats, n int64) {
 	st.ActiveWarpAccum += n * int64(s.WarpsUsed)
 	st.ActiveCTAAccum += n * int64(s.ActiveCTAs)
 	st.ResidentCTAAccum += n * int64(len(s.Resident))
-	rw := 0
-	for _, c := range s.Resident {
-		rw += len(c.Warps)
-	}
-	st.ResidentWarpAccum += n * int64(rw)
+	st.ResidentWarpAccum += n * int64(s.residentWarps)
 }
 
 // StatsAt returns a copy of the SM's statistics as they stand at the

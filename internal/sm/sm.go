@@ -168,6 +168,14 @@ type SM struct {
 	ThreadsUsed int // threads bound to slots (scheduling resource)
 	WarpsUsed   int // warp slots bound
 
+	// ReadyCTAs counts the resident CTAs a controller could activate
+	// next: CTAPending or CTAInactiveReady. AddResident and SetCTAState
+	// keep it exact, and SetState recounts it.
+	ReadyCTAs int
+	// residentWarps counts the warps of every resident CTA (any state);
+	// AddResident, release and SetState keep it exact.
+	residentWarps int
+
 	schedulers []*scheduler
 	sfuFreeAt  int64
 	smemFreeAt int64
@@ -201,6 +209,12 @@ type SM struct {
 	// refreshWarp at every transition that can change a classification.
 	ready        []uint64
 	restoreReady int
+
+	// active caches the CTAActive resident CTAs in resident order for
+	// ActiveInOrder; SetCTAState marks it stale on every transition into
+	// or out of CTAActive.
+	active      []*warp.CTA
+	activeStale bool
 
 	// Per-SM fast-forward (engine idle skip at SM granularity): while
 	// asleep the engine does not run Cycle for this SM;
@@ -422,6 +436,10 @@ func (s *SM) CanActivateCTA(c *warp.CTA) bool {
 func (s *SM) AddResident(c *warp.CTA) {
 	c.AssignedAt = s.Ev.Now()
 	s.Resident = append(s.Resident, c)
+	s.residentWarps += len(c.Warps)
+	if readyState(c.State) {
+		s.ReadyCTAs++
+	}
 	s.RegsUsed += c.RegsAlloc
 	s.SMemUsed += c.SMemAlloc
 }
@@ -440,7 +458,7 @@ func (s *SM) Activate(c *warp.CTA) {
 	s.WarpsUsed += len(c.Warps)
 	s.ThreadsUsed += c.Threads
 	s.ActiveCTAs++
-	c.State = warp.CTAActive
+	s.SetCTAState(c, warp.CTAActive)
 	c.ActivatedAt = s.Ev.Now()
 	c.Activations++
 	for _, w := range c.Warps {
@@ -464,13 +482,50 @@ func (s *SM) Deactivate(c *warp.CTA) {
 	s.ThreadsUsed -= c.Threads
 	s.ActiveCTAs--
 	if s.anyOutstandingLoads(c) {
-		c.State = warp.CTAInactiveWaiting
+		s.SetCTAState(c, warp.CTAInactiveWaiting)
 	} else {
-		c.State = warp.CTAInactiveReady
+		s.SetCTAState(c, warp.CTAInactiveReady)
 	}
 	if s.Probe != nil {
 		s.Probe.CTADeactivated(s, c)
 	}
+}
+
+// SetCTAState moves a resident CTA to state st. It is the single place
+// CTA state is written, so the ReadyCTAs count stays exact and the
+// cached active list (ActiveInOrder) is rebuilt when it goes stale.
+func (s *SM) SetCTAState(c *warp.CTA, st warp.CTAState) {
+	if readyState(c.State) {
+		s.ReadyCTAs--
+	}
+	if readyState(st) {
+		s.ReadyCTAs++
+	}
+	if c.State == warp.CTAActive || st == warp.CTAActive {
+		s.activeStale = true
+	}
+	c.State = st
+}
+
+// ActiveInOrder returns the resident CTAs in state CTAActive, in resident
+// order. The slice is rebuilt only after a CTA entered or left CTAActive;
+// it is valid until the next state change and must not be modified.
+func (s *SM) ActiveInOrder() []*warp.CTA {
+	if s.activeStale {
+		s.active = s.active[:0]
+		for _, c := range s.Resident {
+			if c.State == warp.CTAActive {
+				s.active = append(s.active, c)
+			}
+		}
+		s.activeStale = false
+	}
+	return s.active
+}
+
+// readyState reports whether a CTA in state st waits to be activated.
+func readyState(st warp.CTAState) bool {
+	return st == warp.CTAPending || st == warp.CTAInactiveReady
 }
 
 // NoteCTAStateChanged re-derives the cached classification of every warp
@@ -512,9 +567,9 @@ func (s *SM) refreshWarp(w *warp.Warp) {
 }
 
 // noteClass moves the warp's cached classification to cls, updating the
-// scheduler counters and the ready bitset. No-op when unchanged; unbound
-// warps are always BlockedDone, so the slot index is valid whenever the
-// counters move.
+// scheduler counters, the ready bitset and the CTA's class counts. No-op
+// when unchanged; unbound warps are always BlockedDone, so the slot index
+// is valid whenever the counters move.
 func (s *SM) noteClass(w *warp.Warp, cls warp.Blocked) {
 	old := w.IssueState
 	if cls == old {
@@ -531,6 +586,12 @@ func (s *SM) noteClass(w *warp.Warp, cls warp.Blocked) {
 		sc.nALU--
 	case warp.BlockedBarrier:
 		sc.nBar--
+	}
+	if old != warp.BlockedDone {
+		w.CTA.Classes[old]--
+	}
+	if cls != warp.BlockedDone {
+		w.CTA.Classes[cls]++
 	}
 	switch cls {
 	case warp.BlockedNot:
@@ -570,9 +631,17 @@ func (s *SM) anyOutstandingLoads(c *warp.CTA) bool {
 // controller.
 func (s *SM) retire(c *warp.CTA) {
 	s.Deactivate(c)
-	c.State = warp.CTADone
+	s.release(c)
+}
+
+// release removes a completed CTA from the SM: its state becomes done,
+// its capacity and resident-warp share are freed, and the controller is
+// notified.
+func (s *SM) release(c *warp.CTA) {
+	s.SetCTAState(c, warp.CTADone)
 	s.RegsUsed -= c.RegsAlloc
 	s.SMemUsed -= c.SMemAlloc
+	s.residentWarps -= len(c.Warps)
 	for i, r := range s.Resident {
 		if r == c {
 			s.Resident = append(s.Resident[:i], s.Resident[i+1:]...)
@@ -707,11 +776,7 @@ func (s *SM) accumOccupancy() {
 	st.ActiveWarpAccum += int64(s.WarpsUsed)
 	st.ActiveCTAAccum += int64(s.ActiveCTAs)
 	st.ResidentCTAAccum += int64(len(s.Resident))
-	rw := 0
-	for _, c := range s.Resident {
-		rw += len(c.Warps)
-	}
-	st.ResidentWarpAccum += int64(rw)
+	st.ResidentWarpAccum += int64(s.residentWarps)
 }
 
 // allocOp takes an lsuOp from the free list (or grows the arena) and
@@ -777,7 +842,7 @@ func (s *SM) loadComplete(idx int32) {
 	s.refreshWarp(w)
 	c := w.CTA
 	if c.State == warp.CTAInactiveWaiting && !s.anyOutstandingLoads(c) {
-		c.State = warp.CTAInactiveReady
+		s.SetCTAState(c, warp.CTAInactiveReady)
 		s.Ctl.LoadsDrained(s, c)
 	}
 }

@@ -17,9 +17,10 @@ import (
 // warp index) triples; CTA structure is rebuilt deterministically from
 // the launch (cta.Grid.Materialize) and the dynamic warp state overlaid.
 // The cached issue classification (IssueState, RestoreReady, the ready
-// bitset, and the per-scheduler class counters) is re-derived through
-// refreshWarp on every bound warp, which reproduces it exactly because it
-// is a pure function of the serialized state.
+// bitset, the per-scheduler class counters, and each CTA's Classes) is
+// re-derived through refreshWarp on every bound warp, which reproduces it
+// exactly because it is a pure function of the serialized state; the
+// ReadyCTAs count is recounted from the restored CTA states.
 //
 // Sleep state (asleep, sleptFrom, wakeAt) travels verbatim: waking the SM
 // at capture time would run extra control cycles on resume (clearing, for
@@ -265,6 +266,8 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 	s.Resident = s.Resident[:0]
 	s.RegsUsed, s.SMemUsed = 0, 0
 	s.ActiveCTAs, s.WarpsUsed, s.ThreadsUsed = 0, 0, 0
+	s.ReadyCTAs, s.residentWarps = 0, 0
+	s.activeStale = true
 	for i := range st.Resident {
 		cs := &st.Resident[i]
 		c, err := mat(cs.Kernel, cs.Flat)
@@ -305,6 +308,10 @@ func (s *SM) SetState(st *SMState, mat Materializer) error {
 		s.Resident = append(s.Resident, c)
 		s.RegsUsed += c.RegsAlloc
 		s.SMemUsed += c.SMemAlloc
+		s.residentWarps += len(c.Warps)
+		if readyState(c.State) {
+			s.ReadyCTAs++
+		}
 		if c.State == warp.CTAActive || c.State == warp.CTARestoring {
 			s.ActiveCTAs++
 			s.WarpsUsed += len(c.Warps)

@@ -103,130 +103,234 @@ func Execute(w *Warp, in *isa.Instr, gmem *mem.Backing, addrBuf []uint32) ExecIn
 	return info
 }
 
-// execALULanes applies a non-memory, non-control instruction to all active
-// lanes. The hottest ops get dedicated lane loops so the opcode dispatch,
-// the immediate-select branch, and unused-operand reads happen once per
-// warp instead of once per lane; everything else falls through to the
-// per-lane reference evaluator (evalALU), which stays the single source of
-// semantic truth. Each specialized loop must compute exactly what evalALU
-// computes for its opcode.
+// zeroRow backs every read of RZ in row-wise execution: a shared row of
+// zeros as wide as the widest warp. It is never written.
+var zeroRow [64]uint32
+
+// row returns the first n lanes of register r's row in the warp's
+// register file (Regs is laid out [reg*warpSize + lane]); RZ reads the
+// shared zero row.
+func (w *Warp) row(r isa.Reg, n int) []uint32 {
+	if r == isa.RZ {
+		return zeroRow[:n:n]
+	}
+	base := int(r) * w.warpW
+	return w.Regs[base : base+n : base+n]
+}
+
+// execALULanes applies a non-memory, non-control instruction to the active
+// lanes a row at a time: each operand's register row is sliced once per
+// instruction and one tight loop per opcode computes lanes 0 up to the
+// highest active lane. When the mask is contiguous from lane 0 (no
+// divergence, or a partial last warp) the loop writes straight into the
+// destination row. Otherwise it computes into a stack scratch row and
+// commits only the active lanes, so inactive lanes are never written; an
+// RZ destination discards the result. Computing an inactive lane's value
+// is harmless: lanes never read each other, and no ALU op traps.
+//
+// evalALU stays the per-lane reference. It still executes the SFU ops
+// (frcp/fsqrt/fsin/fexp), and each row loop must compute exactly what
+// evalALU computes for its opcode (TestExecALULanesMatchesEvalALU).
 func execALULanes(w *Warp, in *isa.Instr, active simt.Mask) {
-	dst := in.Dst
+	if active == 0 || in.Op == isa.OpNop {
+		return // a nop rewrites its destination with its own value
+	}
+	if in.Unit() != isa.UnitSP {
+		for m := active; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros64(uint64(m))
+			w.SetReg(in.Dst, lane, evalALU(w, in, lane))
+		}
+		return
+	}
+	n := bits.Len64(uint64(active))
+	if in.Dst != isa.RZ && active == simt.Mask(1)<<uint(n)-1 {
+		aluRow(w, in, w.row(in.Dst, n))
+		return
+	}
+	var scratch [64]uint32
+	out := scratch[:n:n]
+	aluRow(w, in, out)
+	if in.Dst == isa.RZ {
+		return
+	}
+	dst := w.row(in.Dst, n)
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(uint64(m))
+		dst[lane] = out[lane]
+	}
+}
+
+// aluRow computes an SP-pipeline instruction for lanes [0, len(out)) into
+// out. out may be the destination row itself: every loop reads lane i of
+// its sources before writing lane i, so a destination that is also a
+// source is safe.
+func aluRow(w *Warp, in *isa.Instr, out []uint32) {
+	n := len(out)
 	switch in.Op {
-	case isa.OpIAdd:
-		if in.UseImm {
-			imm := in.Imm
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, w.Reg(in.SrcA, lane)+imm)
-			}
-		} else {
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, w.Reg(in.SrcA, lane)+w.Reg(in.SrcB, lane))
-			}
-		}
-	case isa.OpISub:
-		if in.UseImm {
-			imm := in.Imm
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, w.Reg(in.SrcA, lane)-imm)
-			}
-		} else {
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, w.Reg(in.SrcA, lane)-w.Reg(in.SrcB, lane))
-			}
-		}
-	case isa.OpIMad:
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			a := w.Reg(in.SrcA, lane)
-			var b uint32
-			if in.UseImm {
-				b = in.Imm
-			} else {
-				b = w.Reg(in.SrcB, lane)
-			}
-			w.SetReg(dst, lane, a*b+w.Reg(in.SrcC, lane))
-		}
-	case isa.OpIMin:
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			a := w.Reg(in.SrcA, lane)
-			b := in.Imm
-			if !in.UseImm {
-				b = w.Reg(in.SrcB, lane)
-			}
-			if int32(b) < int32(a) {
-				a = b
-			}
-			w.SetReg(dst, lane, a)
-		}
-	case isa.OpIMax:
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			a := w.Reg(in.SrcA, lane)
-			b := in.Imm
-			if !in.UseImm {
-				b = w.Reg(in.SrcB, lane)
-			}
-			if int32(b) > int32(a) {
-				a = b
-			}
-			w.SetReg(dst, lane, a)
-		}
 	case isa.OpMov:
 		if in.UseImm {
-			imm := in.Imm
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, imm)
-			}
+			fill(out, in.Imm)
 		} else {
-			for m := active; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(uint64(m))
-				w.SetReg(dst, lane, w.Reg(in.SrcA, lane))
+			copy(out, w.row(in.SrcA, n))
+		}
+		return
+	case isa.OpLdParam:
+		fill(out, w.param(in.Imm))
+		return
+	case isa.OpS2R:
+		switch sr := isa.Special(in.Imm); sr {
+		case isa.SrTidX, isa.SrTidY, isa.SrTidZ, isa.SrLaneID:
+			for i := range out {
+				out[i] = w.special(sr, i)
 			}
+		default: // uniform across the warp
+			fill(out, w.special(sr, 0))
+		}
+		return
+	}
+
+	a := w.row(in.SrcA, n)
+	var b []uint32
+	if in.UseImm {
+		var imm [64]uint32
+		b = imm[:n:n]
+		fill(b, in.Imm)
+	} else {
+		b = w.row(in.SrcB, n)
+	}
+	switch in.Op {
+	case isa.OpIAdd:
+		for i := range out {
+			out[i] = a[i] + b[i]
+		}
+	case isa.OpISub:
+		for i := range out {
+			out[i] = a[i] - b[i]
+		}
+	case isa.OpIMul:
+		for i := range out {
+			out[i] = a[i] * b[i]
+		}
+	case isa.OpIMad:
+		c := w.row(in.SrcC, n)
+		for i := range out {
+			out[i] = a[i]*b[i] + c[i]
+		}
+	case isa.OpIMin:
+		for i := range out {
+			out[i] = uint32(min(int32(a[i]), int32(b[i])))
+		}
+	case isa.OpIMax:
+		for i := range out {
+			out[i] = uint32(max(int32(a[i]), int32(b[i])))
+		}
+	case isa.OpAnd:
+		for i := range out {
+			out[i] = a[i] & b[i]
+		}
+	case isa.OpOr:
+		for i := range out {
+			out[i] = a[i] | b[i]
+		}
+	case isa.OpXor:
+		for i := range out {
+			out[i] = a[i] ^ b[i]
+		}
+	case isa.OpShl:
+		for i := range out {
+			out[i] = a[i] << (b[i] & 31)
+		}
+	case isa.OpShr:
+		for i := range out {
+			out[i] = a[i] >> (b[i] & 31)
+		}
+	case isa.OpFAdd:
+		for i := range out {
+			out[i] = fbits(ffrom(a[i]) + ffrom(b[i]))
+		}
+	case isa.OpFMul:
+		for i := range out {
+			out[i] = fbits(ffrom(a[i]) * ffrom(b[i]))
+		}
+	case isa.OpFFma:
+		c := w.row(in.SrcC, n)
+		for i := range out {
+			out[i] = fbits(ffrom(a[i])*ffrom(b[i]) + ffrom(c[i]))
 		}
 	case isa.OpSetp:
 		kind := isa.CmpKind(in.Imm)
 		if in.UseImm {
 			kind = isa.CmpKind(in.Target)
 		}
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			a := w.Reg(in.SrcA, lane)
-			b := in.Imm
-			if !in.UseImm {
-				b = w.Reg(in.SrcB, lane)
-			}
-			var v uint32
-			if compare(kind, a, b) {
-				v = 1
-			}
-			w.SetReg(dst, lane, v)
-		}
+		setpRow(out, a, b, kind)
 	case isa.OpSelp:
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			v := w.Reg(in.SrcA, lane)
-			if w.Reg(in.SrcC, lane) == 0 {
-				if in.UseImm {
-					v = in.Imm
-				} else {
-					v = w.Reg(in.SrcB, lane)
-				}
+		c := w.row(in.SrcC, n)
+		for i := range out {
+			v := b[i]
+			if c[i] != 0 {
+				v = a[i]
 			}
-			w.SetReg(dst, lane, v)
+			out[i] = v
 		}
 	default:
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros64(uint64(m))
-			w.SetReg(dst, lane, evalALU(w, in, lane))
+		for i := range out {
+			out[i] = evalALU(w, in, i)
 		}
 	}
+}
+
+// setpRow is the row form of compare: one loop per comparison kind, each
+// storing 1 where the comparison holds and 0 elsewhere.
+func setpRow(out, a, b []uint32, kind isa.CmpKind) {
+	switch kind {
+	case isa.CmpILT:
+		for i := range out {
+			out[i] = b2u(int32(a[i]) < int32(b[i]))
+		}
+	case isa.CmpILE:
+		for i := range out {
+			out[i] = b2u(int32(a[i]) <= int32(b[i]))
+		}
+	case isa.CmpIEQ:
+		for i := range out {
+			out[i] = b2u(a[i] == b[i])
+		}
+	case isa.CmpINE:
+		for i := range out {
+			out[i] = b2u(a[i] != b[i])
+		}
+	case isa.CmpIGE:
+		for i := range out {
+			out[i] = b2u(int32(a[i]) >= int32(b[i]))
+		}
+	case isa.CmpIGT:
+		for i := range out {
+			out[i] = b2u(int32(a[i]) > int32(b[i]))
+		}
+	case isa.CmpFLT:
+		for i := range out {
+			out[i] = b2u(ffrom(a[i]) < ffrom(b[i]))
+		}
+	case isa.CmpFGT:
+		for i := range out {
+			out[i] = b2u(ffrom(a[i]) > ffrom(b[i]))
+		}
+	default:
+		compare(kind, 0, 0) // panics on the unknown kind
+	}
+}
+
+func fill(out []uint32, v uint32) {
+	for i := range out {
+		out[i] = v
+	}
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // loadShared reads a word from the CTA's shared memory; out-of-bounds
@@ -271,13 +375,7 @@ func evalALU(w *Warp, in *isa.Instr, lane int) uint32 {
 	case isa.OpS2R:
 		return w.special(isa.Special(in.Imm), lane)
 	case isa.OpLdParam:
-		p := w.CTA.Launch.Params
-		i := int(in.Imm)
-		if i >= len(p) {
-			panic(fmt.Sprintf("warp: kernel %q reads missing param %d",
-				w.CTA.Launch.Kernel.Name, i))
-		}
-		return p[i]
+		return w.param(in.Imm)
 	case isa.OpIAdd:
 		return a + b
 	case isa.OpISub:
@@ -360,6 +458,17 @@ func compare(kind isa.CmpKind, a, b uint32) bool {
 	default:
 		panic(fmt.Sprintf("warp: unhandled comparison %d", kind))
 	}
+}
+
+// param returns kernel launch parameter i. Reading past the launch's
+// parameters is a kernel bug, so it panics.
+func (w *Warp) param(i uint32) uint32 {
+	p := w.CTA.Launch.Params
+	if int(i) >= len(p) {
+		panic(fmt.Sprintf("warp: kernel %q reads missing param %d",
+			w.CTA.Launch.Kernel.Name, i))
+	}
+	return p[i]
 }
 
 // special evaluates an S2R read for one lane.

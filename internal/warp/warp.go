@@ -161,6 +161,13 @@ type CTA struct {
 	ActivatedAt int64 // cycle of the most recent activation
 	Activations int   // number of times the CTA gained warp slots
 
+	// Classes counts the CTA's warps by their cached issue classification
+	// (Warp.IssueState), indexed by Blocked; BlockedDone is not counted.
+	// The SM keeps it in step with every IssueState change, so the VT
+	// controller reads an active CTA's stall mix without re-deriving each
+	// warp's hazards.
+	Classes [BlockedDone]int
+
 	// CtxCharged is the context-buffer bytes the VT controller charged
 	// when this CTA was swapped out (0 while active). The charge is
 	// recorded here rather than recomputed at release because functional
